@@ -234,8 +234,7 @@ Status TxManager::Init(bool attach_existing) {
   // Log manager over the heap's log region.
   if (attach_existing) {
     // Geometry comes from the persistent log header; options_.log supplies
-    // the runtime-only knobs (freelist stripes, group-commit window,
-    // legacy_fences).
+    // the runtime-only knobs (group-commit window, epoch_commit).
     Result<std::unique_ptr<LogManager>> lm =
         LogManager::Open(heap_->pool(), heap_->log_region_offset(), &options_.log);
     if (!lm.ok()) {
