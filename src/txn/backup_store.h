@@ -144,9 +144,9 @@ class BackupStore {
   void EnterApplyCut();
   void ExitApplyCut();
 
-  // Publishes a durably stamped epoch to readers (monotone max). The caller
-  // must have persisted `epoch` via LogManager::SetBackupEpoch first —
-  // readers are only ever told epochs that survive a crash.
+  // Publishes a durably stamped epoch to readers (monotone max). `epoch`
+  // must already be durable (LogManager::backup_epoch()) — readers are only
+  // ever told epochs that survive a crash.
   void PublishCutEpoch(uint64_t epoch);
   // Seeds the advertised epoch at create/open/recovery time.
   void InitCutEpoch(uint64_t epoch) { cut_epoch_.store(epoch, std::memory_order_release); }

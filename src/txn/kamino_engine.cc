@@ -459,16 +459,29 @@ void KaminoEngine::ApplierLoop(size_t shard_index) {
     store_->ExitApplyCut();
     // Every backup apply in the batch is durable; one shared fence frees all
     // the slots (see LogManager::ReleaseSlots for the ordering argument).
-    log_->ReleaseSlots(slots.data(), slots.size());
-    // Stamp the cut only after the slots are durably released: a crash from
-    // here on may undercount the stamp (a safe floor — recovery re-rolls
+    // The same fence stamps the cut counted so far: cut_released_ only ever
+    // counts batches whose slots are already durably released.
+    log_->ReleaseSlots(slots.data(), slots.size(),
+                       cut_released_.load(std::memory_order_acquire));
+    // Count this batch only after its slots are durably released: a crash
+    // from here on may undercount the stamp (a safe floor — recovery re-rolls
     // exactly the unreleased slots, never anything the stamp counts) but can
-    // never overcount it. SetBackupEpoch is a monotone ratchet, so racing
-    // applier shards publish in any order without regressing the frontier.
+    // never overcount it. Under load the count rides the next batch's release
+    // fence; an applier that finds its queue empty pays the stamp's own
+    // drain, so an idle engine always publishes its full count. The stamp is
+    // a monotone ratchet, so racing applier shards publish in any order
+    // without regressing the frontier, and readers only see durable epochs.
     const uint64_t epoch =
         cut_released_.fetch_add(batch.size(), std::memory_order_acq_rel) + batch.size();
-    log_->SetBackupEpoch(epoch);
-    store_->PublishCutEpoch(epoch);
+    bool idle;
+    {
+      std::lock_guard<std::mutex> lk(shard.mu);
+      idle = shard.queue.empty();
+    }
+    if (idle) {
+      log_->SetBackupEpoch(epoch);
+    }
+    store_->PublishCutEpoch(log_->backup_epoch());
     for (auto& ctx : batch) {
       FinishApplied(ctx.get());
     }
