@@ -4,48 +4,6 @@
 
 namespace kamino::txn {
 
-Status CowEngine::Begin(TxContext* ctx) {
-  (void)ctx;  // The slot is acquired lazily on the first write intent.
-  return Status::Ok();
-}
-
-Result<void*> CowEngine::OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) {
-  auto existing = ctx->open_ranges.find(offset);
-  if (existing != ctx->open_ranges.end()) {
-    const Intent& in = ctx->intents[existing->second];
-    if (in.kind == IntentKind::kCowWrite) {
-      return pool()->At(in.aux);  // Shadow already exists.
-    }
-    return pool()->At(offset);  // Allocated in this transaction: edit directly.
-  }
-  Result<uint64_t> resolved = ResolveSize(offset, size);
-  if (!resolved.ok()) {
-    return resolved.status();
-  }
-  size = *resolved;
-
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-
-  // Critical-path shadow: allocate, record (so recovery can find or discard
-  // it), then copy the current contents in.
-  Result<alloc::Reservation> resv = heap_->allocator()->PrepareAlloc(size);
-  if (!resv.ok()) {
-    return resv.status();
-  }
-  Status st = log_->AppendRecord(ctx->slot, IntentKind::kCowWrite, offset, size, resv->offset);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  heap_->allocator()->CommitAlloc(*resv);
-  std::memcpy(pool()->At(resv->offset), pool()->At(offset), size);
-
-  ctx->open_ranges.emplace(offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kCowWrite, offset, size, resv->offset});
-  return pool()->At(resv->offset);
-}
-
 Status CowEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
                                  void** out) {
   // Two phases so the existing crash-ordering invariant (shadow record
@@ -64,9 +22,19 @@ Status CowEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t 
       heap_->allocator()->CancelAlloc(p.resv);
     }
   };
+  auto is_pending = [&](uint64_t offset) {
+    for (const PendingSpan& p : pending) {
+      if (spans[p.span_index].offset == offset) {
+        return true;
+      }
+    }
+    return false;
+  };
   for (size_t i = 0; i < count; ++i) {
     const uint64_t offset = spans[i].offset;
-    if (ctx->open_ranges.find(offset) != ctx->open_ranges.end()) {
+    // A repeat of an earlier span in this batch must not get a second
+    // shadow: installing that untouched copy at commit would undo the edits.
+    if (ctx->open_ranges.count(offset) != 0 || is_pending(offset)) {
       continue;
     }
     Result<uint64_t> resolved = ResolveSize(offset, spans[i].size);
@@ -104,56 +72,16 @@ Status CowEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t 
     heap_->allocator()->CommitAlloc(p.resv);
     const uint64_t offset = spans[p.span_index].offset;
     std::memcpy(pool()->At(p.resv.offset), pool()->At(offset), p.size);
-    ctx->open_ranges.emplace(offset, ctx->intents.size());
-    ctx->intents.push_back(Intent{IntentKind::kCowWrite, offset, p.size, p.resv.offset});
+    RecordIntent(ctx, Intent{IntentKind::kCowWrite, offset, p.size, p.resv.offset});
   }
   for (size_t i = 0; i < count; ++i) {
-    const Intent& in = ctx->intents[ctx->open_ranges.at(spans[i].offset)];
-    out[i] = in.kind == IntentKind::kCowWrite ? pool()->At(in.aux) : pool()->At(in.offset);
+    out[i] = OpenedPointer(ctx, spans[i].offset);
   }
-  return Status::Ok();
-}
-
-Result<uint64_t> CowEngine::Alloc(TxContext* ctx, uint64_t size) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<alloc::Reservation> resv = heap_->allocator()->PrepareAlloc(size);
-  if (!resv.ok()) {
-    return resv.status();
-  }
-  Status st = LockWrite(ctx, resv->offset);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  st = log_->AppendRecord(ctx->slot, IntentKind::kAlloc, resv->offset, resv->size);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  heap_->allocator()->CommitAlloc(*resv);
-  ctx->open_ranges.emplace(resv->offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kAlloc, resv->offset, resv->size, 0});
-  return resv->offset;
-}
-
-Status CowEngine::Free(TxContext* ctx, uint64_t offset) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<uint64_t> size = ResolveSize(offset, 0);
-  if (!size.ok()) {
-    return size.status();
-  }
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-  // drain=false: deferred free — see KaminoEngine::Free and DESIGN.md §8.
-  KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kFree, offset, *size, 0,
-                                            /*drain=*/false));
-  ctx->intents.push_back(Intent{IntentKind::kFree, offset, *size, 0});
   return Status::Ok();
 }
 
 Status CowEngine::Commit(std::unique_ptr<TxContext> ctx) {
-  if (!ctx->slot.valid()) {
-    ReleaseWriteLocks(ctx.get());
-    committed_.fetch_add(1, std::memory_order_relaxed);
+  if (CommitReadOnly(ctx.get())) {
     return Status::Ok();
   }
   // 1. Persist the shadows and any objects allocated in this transaction.
@@ -191,50 +119,17 @@ Status CowEngine::Commit(std::unique_ptr<TxContext> ctx) {
       pool()->Drain();
     }
   }
-  // 4. Cleanup: delete shadows, execute deferred frees, release.
+  // 4. Cleanup: delete the shadows, then the deferred frees and release.
   for (const Intent& in : ctx->intents) {
     if (in.kind == IntentKind::kCowWrite) {
       KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(in.aux));
-    } else if (in.kind == IntentKind::kFree) {
-      KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRawKeepReserved(in.offset));
     }
   }
-  log_->ReleaseSlot(ctx->slot);
-  for (const Intent& in : ctx->intents) {
-    if (in.kind == IntentKind::kFree) {
-      heap_->allocator()->ReleaseReservation(in.offset);
-    }
-  }
-  ReleaseWriteLocks(ctx.get());
-  committed_.fetch_add(1, std::memory_order_relaxed);
-  return Status::Ok();
+  return FinishCommit(ctx.get());
 }
 
-Status CowEngine::Abort(TxContext* ctx) {
-  if (!ctx->slot.valid()) {
-    ReleaseWriteLocks(ctx);
-    aborted_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Ok();
-  }
-  log_->SetState(ctx->slot, TxState::kAborted);
-  for (auto it = ctx->intents.rbegin(); it != ctx->intents.rend(); ++it) {
-    switch (it->kind) {
-      case IntentKind::kCowWrite:
-        KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(it->aux));
-        break;
-      case IntentKind::kAlloc:
-        KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(it->offset));
-        break;
-      case IntentKind::kFree:
-        break;
-      default:
-        break;
-    }
-  }
-  log_->ReleaseSlot(ctx->slot);
-  ReleaseWriteLocks(ctx);
-  aborted_.fetch_add(1, std::memory_order_relaxed);
-  return Status::Ok();
+Status CowEngine::RollBackWrite(const Intent& in) {
+  return heap_->allocator()->FreeRaw(in.aux);  // The original was never touched.
 }
 
 Status CowEngine::Recover() {

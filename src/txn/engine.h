@@ -1,19 +1,30 @@
 // The atomicity-engine interface.
 //
-// All five engines sit behind the same NVML-shaped transactional API (paper
+// Every engine sits behind the same NVML-shaped transactional API (paper
 // Table 2): they differ only in what declaring a write intent, committing,
 // aborting and recovering do. This mirrors the paper's deployment story —
 // "any application that works with NVML just needs to be re-linked to work
 // with Kamino-Tx" — and keeps baseline comparisons honest: every code path
 // outside the atomicity mechanism is identical.
 //
-//   KaminoSimpleEngine   in-place updates, full asynchronous backup (§3).
-//   KaminoDynamicEngine  in-place updates, partial (α) backup (§4).
+//   KaminoEngine         in-place updates over a backup; one class, three
+//                        EngineTypes: kKaminoSimple (full asynchronous
+//                        backup, §3), kKaminoDynamic (partial α backup, §4)
+//                        and kChainReplica (over a NullBackupStore: chain
+//                        neighbours are the copies, §5).
 //   UndoLogEngine        NVML-faithful undo logging: object snapshots copied
 //                        into the log in the critical path.
 //   CowEngine            copy-on-write: edits go to shadow copies installed
 //                        at commit.
+//   RedoLogEngine        redo logging: edits go to staging copies in the log
+//                        slot, installed after the commit record.
 //   NoLoggingEngine      no atomicity (Figure 1's "No Logging" bound).
+//
+// The write-intent path itself is shared: EngineBase (engine_base.h) owns
+// Begin, OpenWrite, the batched OpenWriteBatch loop, Alloc, Free and Abort,
+// and each engine supplies only the per-span copy (StageWrite) and the
+// per-intent rollback (RollBackWrite). CoW keeps its own two-phase batch and
+// the no-logging engine its own unlogged intents.
 
 #ifndef SRC_TXN_ENGINE_H_
 #define SRC_TXN_ENGINE_H_
@@ -158,21 +169,11 @@ class AtomicityEngine {
   virtual Result<void*> OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) = 0;
 
   // Declares write intent on `count` spans at once, returning each span's
-  // write-through pointer in `out[i]`. Logging engines override this to
-  // flush one intent record per span but pay a single drain for the whole
-  // batch ("N flushes, one fence") before any in-place store can happen.
-  // The default is the unbatched loop.
+  // write-through pointer in `out[i]`. Logging engines flush one intent
+  // record per span but pay a single drain for the whole batch ("N flushes,
+  // one fence") before any in-place store can happen.
   virtual Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
-                                void** out) {
-    for (size_t i = 0; i < count; ++i) {
-      Result<void*> p = OpenWrite(ctx, spans[i].offset, spans[i].size);
-      if (!p.ok()) {
-        return p.status();
-      }
-      out[i] = *p;
-    }
-    return Status::Ok();
-  }
+                                void** out) = 0;
 
   // Transactionally allocates `size` bytes. The new object is write-locked
   // and rolled back (freed) if the transaction does not commit.

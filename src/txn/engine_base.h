@@ -1,5 +1,7 @@
 // Shared plumbing for the atomicity engines: heap/log/lock access, intent
-// bookkeeping, and the batched flush of a transaction's write set.
+// bookkeeping, the one write-intent path (Begin, OpenWrite, OpenWriteBatch,
+// Alloc, Free), the shared Abort, and the batched flush of a transaction's
+// write set.
 
 #ifndef SRC_TXN_ENGINE_BASE_H_
 #define SRC_TXN_ENGINE_BASE_H_
@@ -16,6 +18,28 @@ namespace kamino::txn {
 
 class EngineBase : public AtomicityEngine {
  public:
+  // The slot is acquired lazily on the first write intent.
+  Status Begin(TxContext* ctx) override {
+    (void)ctx;
+    return Status::Ok();
+  }
+  // A batch of one span.
+  Result<void*> OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) override;
+  // For each span not yet open: resolve the size, fence it, take the slot and
+  // the write lock, StageWrite it (one record flush, no drain) and record the
+  // intent at once, so a later span's failure leaves it visible to Abort.
+  // Then one drain for the batch, and only then the write-through pointers:
+  // every record is durable before the first store through them.
+  Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
+                        void** out) override;
+  Result<uint64_t> Alloc(TxContext* ctx, uint64_t size) override;
+  Status Free(TxContext* ctx, uint64_t offset) override;
+  // Marks the slot aborted, rolls every intent back newest first (kAlloc is
+  // freed here, write intents go to RollBackWrite, deferred kFree never
+  // happened), then releases the slot and the write locks. A failed step
+  // does not short-circuit the rest: first error wins.
+  Status Abort(TxContext* ctx) override;
+
   EngineStats stats() const override {
     EngineStats s;
     s.committed = committed_.load(std::memory_order_relaxed);
@@ -39,6 +63,60 @@ class EngineBase : public AtomicityEngine {
       : heap_(heap), log_(log), locks_(locks) {}
 
   nvm::Pool* pool() { return heap_->pool(); }
+
+  // --- Per-engine hooks of the shared write-intent and abort paths ---------
+
+  // Takes the span's pre-image, shadow or staging copy and flushes its
+  // intent record WITHOUT draining (OpenWriteBatch drains once per batch).
+  // Runs with the slot and the write lock held; returns the intent to
+  // record. Engines that keep their own OpenWriteBatch never reach the
+  // default.
+  virtual Result<Intent> StageWrite(TxContext* ctx, uint64_t offset, uint64_t size) {
+    (void)ctx;
+    (void)offset;
+    (void)size;
+    return Status::Internal("engine stages write intents in its own OpenWriteBatch");
+  }
+
+  // Undoes one write intent (not kAlloc/kFree) during Abort.
+  virtual Status RollBackWrite(const Intent& in) = 0;
+
+  // Blocks until [offset, offset+size)'s backup can be trusted, before the
+  // slot and the lock are taken. Only an online-recovering Kamino engine has
+  // a backup left to reconcile.
+  virtual Status FenceDirtyRange(uint64_t offset, uint64_t size) {
+    (void)offset;
+    (void)size;
+    return Status::Ok();
+  }
+
+  // --- Commit helpers -------------------------------------------------------
+
+  // A transaction that never took a slot wrote nothing persistent: commit
+  // only drops its locks. Returns false, doing nothing, if it holds a slot.
+  bool CommitReadOnly(TxContext* ctx) {
+    if (ctx->slot.valid()) {
+      return false;
+    }
+    ReleaseWriteLocks(ctx);
+    committed_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+
+  // Post-commit tail of the engines that resolve a commit inline (undo, CoW,
+  // redo): deferred frees, slot release, then the free reservations —
+  // reusable only once the log no longer names them — then the write locks.
+  Status FinishCommit(TxContext* ctx);
+
+  void RecordIntent(TxContext* ctx, const Intent& in) {
+    ctx->open_ranges.emplace(in.offset, ctx->intents.size());
+    ctx->intents.push_back(in);
+  }
+
+  // The write-through pointer of an open span.
+  void* OpenedPointer(const TxContext* ctx, uint64_t offset) {
+    return pool()->At(ctx->intents[ctx->open_ranges.at(offset)].write_offset());
+  }
 
   // Log slots are acquired lazily on the first write intent: read-only
   // transactions (the bulk of YCSB B/C/D) never touch the log at all, as in

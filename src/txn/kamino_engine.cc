@@ -75,141 +75,19 @@ KaminoEngine::~KaminoEngine() {
   }
 }
 
-Status KaminoEngine::Begin(TxContext* ctx) {
-  (void)ctx;  // The slot is acquired lazily on the first write intent.
-  return Status::Ok();
-}
-
-Result<void*> KaminoEngine::OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) {
-  auto existing = ctx->open_ranges.find(offset);
-  if (existing != ctx->open_ranges.end()) {
-    // Already open (possibly via Alloc); edits go straight to the main copy.
-    return pool()->At(offset);
-  }
-  Result<uint64_t> resolved = ResolveSize(offset, size);
-  if (!resolved.ok()) {
-    return resolved.status();
-  }
-  size = *resolved;
-
-  // Online recovery: the range's backup chunks must be reconciled before the
-  // pre-image below can be trusted (free once the map has drained).
-  KAMINO_RETURN_IF_ERROR(FenceDirtyRange(offset, size));
-
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  // Declaring write intent = taking the object lock (paper §3). If the
-  // object is pending (a prior transaction's backup sync is outstanding)
-  // this blocks — the dependent-transaction wait.
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-
+Result<Intent> KaminoEngine::StageWrite(TxContext* ctx, uint64_t offset, uint64_t size) {
   // A consistent pre-transaction copy must exist before the first in-place
   // store. Free for the full backup; a critical-path copy on a dynamic miss.
   KAMINO_RETURN_IF_ERROR(store_->EnsureBackupCopy(offset, size, /*pin=*/true));
-
-  Status st = log_->AppendRecord(ctx->slot, IntentKind::kWrite, offset, size);
+  Status st = log_->AppendRecord(ctx->slot, IntentKind::kWrite, offset, size, 0,
+                                 /*drain=*/false);
   if (!st.ok()) {
     // The intent never existed, so Abort will not unpin this range — drop
     // the pin here or the copy is stuck unevictable forever.
     store_->Unpin(offset);
     return st;
   }
-  ctx->open_ranges.emplace(offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kWrite, offset, size, 0});
-  return pool()->At(offset);
-}
-
-Result<uint64_t> KaminoEngine::Alloc(TxContext* ctx, uint64_t size) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<alloc::Reservation> resv = heap_->allocator()->PrepareAlloc(size);
-  if (!resv.ok()) {
-    return resv.status();
-  }
-  // Online recovery: the new object's chunks must be clean before the caller
-  // stores through the returned offset — a background reconcile reading the
-  // chunk while the caller writes it would race on the main heap.
-  {
-    Status st = FenceDirtyRange(resv->offset, resv->size);
-    if (!st.ok()) {
-      heap_->allocator()->CancelAlloc(*resv);
-      return st;
-    }
-  }
-  // Lock first (trivially uncontended — the object is not yet reachable),
-  // then make the intent durable *before* any persistent allocator metadata
-  // changes so recovery can always compensate.
-  Status st = LockWrite(ctx, resv->offset);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  st = log_->AppendRecord(ctx->slot, IntentKind::kAlloc, resv->offset, resv->size);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  heap_->allocator()->CommitAlloc(*resv);
-  ctx->open_ranges.emplace(resv->offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kAlloc, resv->offset, resv->size, 0});
-  return resv->offset;
-}
-
-Status KaminoEngine::Free(TxContext* ctx, uint64_t offset) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<uint64_t> size = ResolveSize(offset, 0);
-  if (!size.ok()) {
-    return size.status();
-  }
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-  // drain=false: the free is deferred to post-commit, so the record only
-  // matters if the transaction commits — and the commit-point drain (or any
-  // earlier append's drain) makes it durable by then. A lost kFree record
-  // means a never-performed free, never corruption (DESIGN.md §8).
-  KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kFree, offset, *size, 0,
-                                            /*drain=*/false));
-  ctx->intents.push_back(Intent{IntentKind::kFree, offset, *size, 0});
-  return Status::Ok();
-}
-
-Status KaminoEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
-                                    void** out) {
-  // One intent-record flush per span, a single drain for the whole batch,
-  // and only then are the write-through pointers released to the caller —
-  // every record is durable before the first in-place store can happen.
-  bool appended = false;
-  for (size_t i = 0; i < count; ++i) {
-    const uint64_t offset = spans[i].offset;
-    out[i] = nullptr;
-    if (ctx->open_ranges.find(offset) != ctx->open_ranges.end()) {
-      continue;  // Already open (possibly via Alloc or an earlier span).
-    }
-    Result<uint64_t> resolved = ResolveSize(offset, spans[i].size);
-    if (!resolved.ok()) {
-      return resolved.status();
-    }
-    const uint64_t size = *resolved;
-    KAMINO_RETURN_IF_ERROR(FenceDirtyRange(offset, size));
-    KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-    KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-    KAMINO_RETURN_IF_ERROR(store_->EnsureBackupCopy(offset, size, /*pin=*/true));
-    Status st = log_->AppendRecord(ctx->slot, IntentKind::kWrite, offset, size, 0,
-                                   /*drain=*/false);
-    if (!st.ok()) {
-      store_->Unpin(offset);
-      return st;
-    }
-    // Record the intent immediately so a failure on a later span leaves
-    // every appended span visible to Abort's rollback/unpin.
-    ctx->open_ranges.emplace(offset, ctx->intents.size());
-    ctx->intents.push_back(Intent{IntentKind::kWrite, offset, size, 0});
-    appended = true;
-  }
-  if (appended) {
-    log_->DrainAppends();
-  }
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = pool()->At(spans[i].offset);
-  }
-  return Status::Ok();
+  return Intent{IntentKind::kWrite, offset, size, 0};
 }
 
 Status KaminoEngine::Commit(std::unique_ptr<TxContext> ctx) {
@@ -234,11 +112,8 @@ Status KaminoEngine::CommitImpl(std::unique_ptr<TxContext> ctx, CommitAck* ack) 
   if (ack != nullptr) {
     ack->ticket = 0;  // Durable-on-return unless the epoch path says otherwise.
   }
-  if (!ctx->slot.valid()) {
-    // Read-only transaction: nothing persistent happened; no applier trip.
-    ReleaseWriteLocks(ctx.get());
-    committed_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Ok();
+  if (CommitReadOnly(ctx.get())) {
+    return Status::Ok();  // No applier trip.
   }
   if (!log_->epoch_commit()) {
     // PR 4 schedule: write-set drain, then the commit record's group-commit
@@ -338,9 +213,7 @@ Status KaminoEngine::FinishPrepared(std::unique_ptr<TxContext> ctx, bool commit)
     // pre-images, locks and slot are released.
     return Abort(ctx.get());
   }
-  if (!ctx->slot.valid()) {
-    ReleaseWriteLocks(ctx.get());
-    committed_.fetch_add(1, std::memory_order_relaxed);
+  if (CommitReadOnly(ctx.get())) {
     return Status::Ok();
   }
   if (!ctx->decided) {
@@ -574,47 +447,10 @@ EngineStats KaminoEngine::stats() const {
   return s;
 }
 
-Status KaminoEngine::Abort(TxContext* ctx) {
-  if (!ctx->slot.valid()) {
-    ReleaseWriteLocks(ctx);
-    aborted_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Ok();
-  }
-  log_->SetState(ctx->slot, TxState::kAborted);
-  nvm::PersistSiteScope site("engine/abort-rollback");
-  // Roll the main version back from the backup, newest intent first. A
-  // failed restore must not short-circuit the loop: the remaining intents
-  // still need their rollback/unpin, and the slot and write locks must be
-  // released regardless (an early return here used to leak both, wedging
-  // every dependent transaction). Best effort; first error wins.
-  Status result = Status::Ok();
-  for (auto it = ctx->intents.rbegin(); it != ctx->intents.rend(); ++it) {
-    switch (it->kind) {
-      case IntentKind::kWrite: {
-        Status st = store_->RestoreToMain(it->offset, it->size);
-        store_->Unpin(it->offset);
-        if (!st.ok() && result.ok()) {
-          result = st;
-        }
-        break;
-      }
-      case IntentKind::kAlloc: {
-        Status st = heap_->allocator()->FreeRaw(it->offset);
-        if (!st.ok() && result.ok()) {
-          result = st;
-        }
-        break;
-      }
-      case IntentKind::kFree:
-        break;  // Deferred; nothing happened.
-      default:
-        break;
-    }
-  }
-  log_->ReleaseSlot(ctx->slot);
-  ReleaseWriteLocks(ctx);
-  aborted_.fetch_add(1, std::memory_order_relaxed);
-  return result;
+Status KaminoEngine::RollBackWrite(const Intent& in) {
+  Status st = store_->RestoreToMain(in.offset, in.size);
+  store_->Unpin(in.offset);
+  return st;
 }
 
 // --- Recovery pipeline (DESIGN.md §10) ---------------------------------------
@@ -965,13 +801,7 @@ Status KaminoEngine::Recover() {
   if (!handoff.empty()) {
     in_flight_.fetch_add(handoff.size(), std::memory_order_relaxed);
     for (auto& ctx : handoff) {
-      ApplierShard& shard =
-          *shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size()];
-      {
-        std::lock_guard<std::mutex> lk(shard.mu);
-        shard.queue.push_back(std::move(ctx));
-      }
-      shard.cv.notify_one();
+      EnqueueCommitted(std::move(ctx));
     }
   }
   return result;

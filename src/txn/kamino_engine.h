@@ -54,19 +54,12 @@ class KaminoEngine : public EngineBase {
     return dynamic_ ? EngineType::kKaminoDynamic : EngineType::kKaminoSimple;
   }
 
-  Status Begin(TxContext* ctx) override;
-  Result<void*> OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) override;
-  Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
-                        void** out) override;
-  Result<uint64_t> Alloc(TxContext* ctx, uint64_t size) override;
-  Status Free(TxContext* ctx, uint64_t offset) override;
   Status Commit(std::unique_ptr<TxContext> ctx) override;
   // Epoch pipeline (LogOptions::epoch_commit, DESIGN.md §8): returns at
   // DRAM-commit with `ack` carrying the epoch durability ticket. The context
   // reaches the applier only through the epoch's durability callback, so the
   // backup never runs ahead of the log. Without epoch_commit this is Commit.
   Status CommitAsync(std::unique_ptr<TxContext> ctx, CommitAck* ack) override;
-  Status Abort(TxContext* ctx) override;
   // Cross-shard 2PC (DESIGN.md §11): Prepare persists a prepared record in
   // place of the commit record; PersistDecision durably flips the
   // coordinator's own slot to Committed without touching the applier;
@@ -102,6 +95,16 @@ class KaminoEngine : public EngineBase {
   // released — callers are about to throw the whole manager away.
   void DiscardPendingForCrashTest();
 
+ protected:
+  // Pins the backup copy (a critical-path copy on a dynamic miss) and flushes
+  // the address-only intent record.
+  Result<Intent> StageWrite(TxContext* ctx, uint64_t offset, uint64_t size) override;
+  // Copies the untouched backup value over the main version and unpins it.
+  Status RollBackWrite(const Intent& in) override;
+  // Blocks until every chunk overlapping [offset, size) is clean. No-op
+  // unless an online reconcile is active.
+  Status FenceDirtyRange(uint64_t offset, uint64_t size) override;
+
  private:
   // One applier thread's private work queue. Sharding removes the single
   // dispatch mutex from the commit path and lets appliers drain
@@ -118,7 +121,8 @@ class KaminoEngine : public EngineBase {
   Status CommitImpl(std::unique_ptr<TxContext> ctx, CommitAck* ack);
   // Round-robins a committed context across the applier shards. In epoch
   // mode this runs inside the epoch's durability callback (on the leader
-  // thread); in_flight_ was already counted at commit time.
+  // thread); Recover uses it for handed-off transactions. The caller has
+  // already counted the context in in_flight_.
   void EnqueueCommitted(std::unique_ptr<TxContext> ctx);
   // Rolls a committed transaction forward into the backup (one batched
   // apply, at most one drain). The applier loop then releases the whole
@@ -149,9 +153,6 @@ class KaminoEngine : public EngineBase {
   void BuildDirtyMap();
   // Copies every snapshotted object of `chunk` main -> backup.
   Status ReconcileChunk(uint64_t chunk);
-  // Blocks until every chunk overlapping [offset, size) is clean. No-op
-  // unless an online reconcile is active.
-  Status FenceDirtyRange(uint64_t offset, uint64_t size);
   void ReconcileLoop();
   // Persists the dirty map's contiguous clean frontier into the log header
   // if it advanced past the last persisted value.

@@ -103,6 +103,12 @@ struct Intent {
   uint64_t size = 0;
   uint64_t aux = 0;   // Undo: payload offset in pool; CoW: shadow offset.
   uint64_t aux2 = 0;  // Undo: CRC of the payload snapshot (validity gate).
+
+  // Where the transaction's stores to this span go: the CoW shadow or the
+  // redo staging copy at `aux`; every other intent is edited in place.
+  uint64_t write_offset() const {
+    return kind == IntentKind::kCowWrite || kind == IntentKind::kRedoWrite ? aux : offset;
+  }
 };
 
 struct LogOptions {

@@ -18,15 +18,22 @@ class NoLoggingEngine : public EngineBase {
 
   EngineType type() const override { return EngineType::kNoLogging; }
 
-  Status Begin(TxContext* ctx) override;
-  Result<void*> OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) override;
+  // No slot, no records: the shared loop's slot and drain do not apply.
+  Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
+                        void** out) override;
   Result<uint64_t> Alloc(TxContext* ctx, uint64_t size) override;
   Status Free(TxContext* ctx, uint64_t offset) override;
   Status Commit(std::unique_ptr<TxContext> ctx) override;
-  // Releases locks and frees this transaction's allocations, but CANNOT roll
-  // back in-place edits — data modified before the abort stays modified.
-  Status Abort(TxContext* ctx) override;
   Status Recover() override { return Status::Ok(); }
+
+ protected:
+  // Abort still releases locks and frees this transaction's allocations, but
+  // CANNOT roll back in-place edits — data modified before the abort stays
+  // modified.
+  Status RollBackWrite(const Intent& in) override {
+    (void)in;
+    return Status::Ok();
+  }
 };
 
 }  // namespace kamino::txn

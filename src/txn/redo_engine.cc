@@ -4,124 +4,24 @@
 
 namespace kamino::txn {
 
-Status RedoLogEngine::Begin(TxContext* ctx) {
-  (void)ctx;  // The slot is acquired lazily on the first write intent.
-  return Status::Ok();
-}
-
-Result<void*> RedoLogEngine::OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) {
-  auto existing = ctx->open_ranges.find(offset);
-  if (existing != ctx->open_ranges.end()) {
-    const Intent& in = ctx->intents[existing->second];
-    if (in.kind == IntentKind::kRedoWrite) {
-      return pool()->At(in.aux);  // Staging copy already exists.
-    }
-    return pool()->At(offset);  // Allocated in this transaction: edit directly.
-  }
-  Result<uint64_t> resolved = ResolveSize(offset, size);
-  if (!resolved.ok()) {
-    return resolved.status();
-  }
-  size = *resolved;
-
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-
+Result<Intent> RedoLogEngine::StageWrite(TxContext* ctx, uint64_t offset, uint64_t size) {
   // Critical-path staging copy inside the log slot (no heap allocation, but
   // still a copy — the cost profile the paper's §2 attributes to NVM-Log).
+  // The staged values only matter once the commit record is durable, and
+  // the commit path drains them before that, so the copy itself is not
+  // flushed here.
   Result<uint64_t> staging = log_->ReservePayload(ctx->slot, size);
   if (!staging.ok()) {
     return staging.status();
   }
   std::memcpy(pool()->At(*staging), pool()->At(offset), size);
-  KAMINO_RETURN_IF_ERROR(
-      log_->AppendRecord(ctx->slot, IntentKind::kRedoWrite, offset, size, *staging));
-
-  ctx->open_ranges.emplace(offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kRedoWrite, offset, size, *staging});
-  return pool()->At(*staging);
-}
-
-Status RedoLogEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
-                                     void** out) {
-  // Batched staging: N staging copies and N records flushed, one drain. The
-  // staged values only matter once the commit record is durable, and the
-  // commit path drains the whole write set before that, so batching here is
-  // crash-order neutral.
-  bool appended = false;
-  for (size_t i = 0; i < count; ++i) {
-    const uint64_t offset = spans[i].offset;
-    if (ctx->open_ranges.find(offset) != ctx->open_ranges.end()) {
-      continue;
-    }
-    Result<uint64_t> resolved = ResolveSize(offset, spans[i].size);
-    if (!resolved.ok()) {
-      return resolved.status();
-    }
-    const uint64_t size = *resolved;
-    KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-    KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-    Result<uint64_t> staging = log_->ReservePayload(ctx->slot, size);
-    if (!staging.ok()) {
-      return staging.status();
-    }
-    std::memcpy(pool()->At(*staging), pool()->At(offset), size);
-    KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kRedoWrite, offset, size,
-                                              *staging, /*drain=*/false));
-    ctx->open_ranges.emplace(offset, ctx->intents.size());
-    ctx->intents.push_back(Intent{IntentKind::kRedoWrite, offset, size, *staging});
-    appended = true;
-  }
-  if (appended) {
-    log_->DrainAppends();
-  }
-  for (size_t i = 0; i < count; ++i) {
-    const Intent& in = ctx->intents[ctx->open_ranges.at(spans[i].offset)];
-    out[i] = in.kind == IntentKind::kRedoWrite ? pool()->At(in.aux) : pool()->At(in.offset);
-  }
-  return Status::Ok();
-}
-
-Result<uint64_t> RedoLogEngine::Alloc(TxContext* ctx, uint64_t size) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<alloc::Reservation> resv = heap_->allocator()->PrepareAlloc(size);
-  if (!resv.ok()) {
-    return resv.status();
-  }
-  Status st = LockWrite(ctx, resv->offset);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  st = log_->AppendRecord(ctx->slot, IntentKind::kAlloc, resv->offset, resv->size);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  heap_->allocator()->CommitAlloc(*resv);
-  ctx->open_ranges.emplace(resv->offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kAlloc, resv->offset, resv->size, 0});
-  return resv->offset;
-}
-
-Status RedoLogEngine::Free(TxContext* ctx, uint64_t offset) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<uint64_t> size = ResolveSize(offset, 0);
-  if (!size.ok()) {
-    return size.status();
-  }
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-  // drain=false: deferred free — see KaminoEngine::Free and DESIGN.md §8.
-  KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kFree, offset, *size, 0,
-                                            /*drain=*/false));
-  ctx->intents.push_back(Intent{IntentKind::kFree, offset, *size, 0});
-  return Status::Ok();
+  KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kRedoWrite, offset, size,
+                                            *staging, /*drain=*/false));
+  return Intent{IntentKind::kRedoWrite, offset, size, *staging};
 }
 
 Status RedoLogEngine::Commit(std::unique_ptr<TxContext> ctx) {
-  if (!ctx->slot.valid()) {
-    ReleaseWriteLocks(ctx.get());
-    committed_.fetch_add(1, std::memory_order_relaxed);
+  if (CommitReadOnly(ctx.get())) {
     return Status::Ok();
   }
   // 1. Persist the staged new values + objects allocated in this txn.
@@ -160,38 +60,11 @@ Status RedoLogEngine::Commit(std::unique_ptr<TxContext> ctx) {
     }
   }
   // 4. Deferred frees, then release.
-  for (const Intent& in : ctx->intents) {
-    if (in.kind == IntentKind::kFree) {
-      KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRawKeepReserved(in.offset));
-    }
-  }
-  log_->ReleaseSlot(ctx->slot);
-  for (const Intent& in : ctx->intents) {
-    if (in.kind == IntentKind::kFree) {
-      heap_->allocator()->ReleaseReservation(in.offset);
-    }
-  }
-  ReleaseWriteLocks(ctx.get());
-  committed_.fetch_add(1, std::memory_order_relaxed);
-  return Status::Ok();
+  return FinishCommit(ctx.get());
 }
 
-Status RedoLogEngine::Abort(TxContext* ctx) {
-  if (!ctx->slot.valid()) {
-    ReleaseWriteLocks(ctx);
-    aborted_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Ok();
-  }
-  log_->SetState(ctx->slot, TxState::kAborted);
-  // The main heap was never touched: only compensate allocations.
-  for (auto it = ctx->intents.rbegin(); it != ctx->intents.rend(); ++it) {
-    if (it->kind == IntentKind::kAlloc) {
-      KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(it->offset));
-    }
-  }
-  log_->ReleaseSlot(ctx->slot);
-  ReleaseWriteLocks(ctx);
-  aborted_.fetch_add(1, std::memory_order_relaxed);
+Status RedoLogEngine::RollBackWrite(const Intent& in) {
+  (void)in;  // The main heap was never touched.
   return Status::Ok();
 }
 

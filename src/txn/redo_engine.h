@@ -23,16 +23,14 @@ class RedoLogEngine : public EngineBase {
 
   EngineType type() const override { return EngineType::kRedoLog; }
 
-  Status Begin(TxContext* ctx) override;
-  // Returns a pointer to the log-resident staging copy.
-  Result<void*> OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) override;
-  Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
-                        void** out) override;
-  Result<uint64_t> Alloc(TxContext* ctx, uint64_t size) override;
-  Status Free(TxContext* ctx, uint64_t offset) override;
   Status Commit(std::unique_ptr<TxContext> ctx) override;
-  Status Abort(TxContext* ctx) override;
   Status Recover() override;
+
+ protected:
+  // Stages the copy the caller edits: OpenWrite returns a pointer into the
+  // log slot, not into the main heap.
+  Result<Intent> StageWrite(TxContext* ctx, uint64_t offset, uint64_t size) override;
+  Status RollBackWrite(const Intent& in) override;
 };
 
 }  // namespace kamino::txn

@@ -80,11 +80,7 @@ void* Tx::OpenedPointer(uint64_t offset) {
   if (it == ctx_->open_ranges.end()) {
     return nullptr;
   }
-  const Intent& in = ctx_->intents[it->second];
-  if (in.kind == IntentKind::kCowWrite || in.kind == IntentKind::kRedoWrite) {
-    return mgr_->heap_->pool()->At(in.aux);  // Shadow / staging copy.
-  }
-  return mgr_->heap_->pool()->At(offset);
+  return mgr_->heap_->pool()->At(ctx_->intents[it->second].write_offset());
 }
 
 Status Tx::ReadLock(uint64_t offset) {

@@ -6,25 +6,7 @@
 
 namespace kamino::txn {
 
-Status UndoLogEngine::Begin(TxContext* ctx) {
-  (void)ctx;  // The slot is acquired lazily on the first write intent.
-  return Status::Ok();
-}
-
-Result<void*> UndoLogEngine::OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) {
-  auto existing = ctx->open_ranges.find(offset);
-  if (existing != ctx->open_ranges.end()) {
-    return pool()->At(offset);
-  }
-  Result<uint64_t> resolved = ResolveSize(offset, size);
-  if (!resolved.ok()) {
-    return resolved.status();
-  }
-  size = *resolved;
-
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-
+Result<Intent> UndoLogEngine::StageWrite(TxContext* ctx, uint64_t offset, uint64_t size) {
   // The critical-path copy: snapshot the old payload into the undo log
   // before any in-place edit (NVML TX_ADD semantics).
   Result<uint64_t> payload = log_->ReservePayload(ctx->slot, size);
@@ -36,7 +18,7 @@ Result<void*> UndoLogEngine::OpenWrite(TxContext* ctx, uint64_t offset, uint64_t
     nvm::PersistSiteScope site("undo/snapshot");
     pool()->Flush(pool()->At(*payload), size);
   }
-  // Record + snapshot become durable together on this record's drain. The
+  // Record + snapshot become durable together on the batch's drain. The
   // snapshot CRC rides in the record (aux2) so recovery can tell a durable
   // snapshot from one lost to an unlucky cache eviction (the record line
   // surviving without its payload lines) and skip the restore — safe,
@@ -44,145 +26,24 @@ Result<void*> UndoLogEngine::OpenWrite(TxContext* ctx, uint64_t offset, uint64_t
   // implies the in-place store it guards never happened.
   const uint64_t snapshot_crc = Crc64(pool()->At(*payload), size);
   KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kWrite, offset, size,
-                                            *payload, /*drain=*/true, snapshot_crc));
-
-  ctx->open_ranges.emplace(offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kWrite, offset, size, *payload, snapshot_crc});
-  return pool()->At(offset);
-}
-
-Status UndoLogEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
-                                     void** out) {
-  // Batched TX_ADD: N snapshots and N records are flushed, then a single
-  // drain covers all of them before any span's write-through pointer is
-  // released — one fence instead of N on the critical path.
-  bool appended = false;
-  for (size_t i = 0; i < count; ++i) {
-    const uint64_t offset = spans[i].offset;
-    out[i] = nullptr;
-    if (ctx->open_ranges.find(offset) != ctx->open_ranges.end()) {
-      continue;
-    }
-    Result<uint64_t> resolved = ResolveSize(offset, spans[i].size);
-    if (!resolved.ok()) {
-      return resolved.status();
-    }
-    const uint64_t size = *resolved;
-    KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-    KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-    Result<uint64_t> payload = log_->ReservePayload(ctx->slot, size);
-    if (!payload.ok()) {
-      return payload.status();
-    }
-    std::memcpy(pool()->At(*payload), pool()->At(offset), size);
-    {
-      nvm::PersistSiteScope site("undo/snapshot");
-      pool()->Flush(pool()->At(*payload), size);
-    }
-    const uint64_t snapshot_crc = Crc64(pool()->At(*payload), size);
-    KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kWrite, offset, size,
-                                              *payload, /*drain=*/false, snapshot_crc));
-    ctx->open_ranges.emplace(offset, ctx->intents.size());
-    ctx->intents.push_back(Intent{IntentKind::kWrite, offset, size, *payload, snapshot_crc});
-    appended = true;
-  }
-  if (appended) {
-    log_->DrainAppends();
-  }
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = pool()->At(spans[i].offset);
-  }
-  return Status::Ok();
-}
-
-Result<uint64_t> UndoLogEngine::Alloc(TxContext* ctx, uint64_t size) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<alloc::Reservation> resv = heap_->allocator()->PrepareAlloc(size);
-  if (!resv.ok()) {
-    return resv.status();
-  }
-  Status st = LockWrite(ctx, resv->offset);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  st = log_->AppendRecord(ctx->slot, IntentKind::kAlloc, resv->offset, resv->size);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  heap_->allocator()->CommitAlloc(*resv);
-  ctx->open_ranges.emplace(resv->offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kAlloc, resv->offset, resv->size, 0});
-  return resv->offset;
-}
-
-Status UndoLogEngine::Free(TxContext* ctx, uint64_t offset) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<uint64_t> size = ResolveSize(offset, 0);
-  if (!size.ok()) {
-    return size.status();
-  }
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-  // drain=false: deferred free — see KaminoEngine::Free and DESIGN.md §8.
-  KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kFree, offset, *size, 0,
-                                            /*drain=*/false));
-  ctx->intents.push_back(Intent{IntentKind::kFree, offset, *size, 0});
-  return Status::Ok();
+                                            *payload, /*drain=*/false, snapshot_crc));
+  return Intent{IntentKind::kWrite, offset, size, *payload, snapshot_crc};
 }
 
 Status UndoLogEngine::Commit(std::unique_ptr<TxContext> ctx) {
-  if (!ctx->slot.valid()) {
-    ReleaseWriteLocks(ctx.get());
-    committed_.fetch_add(1, std::memory_order_relaxed);
+  if (CommitReadOnly(ctx.get())) {
     return Status::Ok();
   }
   // All resolution is inline: this thread persists the data, commits,
   // executes deferred frees, discards the undo data and releases the locks.
   FlushWriteRanges(ctx.get());
   log_->SetState(ctx->slot, TxState::kCommitted);
-  for (const Intent& in : ctx->intents) {
-    if (in.kind == IntentKind::kFree) {
-      KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRawKeepReserved(in.offset));
-    }
-  }
-  log_->ReleaseSlot(ctx->slot);
-  for (const Intent& in : ctx->intents) {
-    if (in.kind == IntentKind::kFree) {
-      heap_->allocator()->ReleaseReservation(in.offset);
-    }
-  }
-  ReleaseWriteLocks(ctx.get());
-  committed_.fetch_add(1, std::memory_order_relaxed);
-  return Status::Ok();
+  return FinishCommit(ctx.get());
 }
 
-Status UndoLogEngine::Abort(TxContext* ctx) {
-  if (!ctx->slot.valid()) {
-    ReleaseWriteLocks(ctx);
-    aborted_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Ok();
-  }
-  log_->SetState(ctx->slot, TxState::kAborted);
-  nvm::PersistSiteScope site("engine/abort-rollback");
-  for (auto it = ctx->intents.rbegin(); it != ctx->intents.rend(); ++it) {
-    switch (it->kind) {
-      case IntentKind::kWrite:
-        std::memcpy(pool()->At(it->offset), pool()->At(it->aux), it->size);
-        pool()->Persist(pool()->At(it->offset), it->size);
-        break;
-      case IntentKind::kAlloc:
-        KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(it->offset));
-        break;
-      case IntentKind::kFree:
-        break;
-      default:
-        break;
-    }
-  }
-  log_->ReleaseSlot(ctx->slot);
-  ReleaseWriteLocks(ctx);
-  aborted_.fetch_add(1, std::memory_order_relaxed);
+Status UndoLogEngine::RollBackWrite(const Intent& in) {
+  std::memcpy(pool()->At(in.offset), pool()->At(in.aux), in.size);
+  pool()->Persist(pool()->At(in.offset), in.size);
   return Status::Ok();
 }
 

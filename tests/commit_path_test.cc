@@ -172,23 +172,27 @@ TEST(CommitPathTest, BatchedReleaseWakesEveryBlockedAcquirer) {
 }
 
 // ---------------------------------------------------------------------------
-// The DESIGN.md §8/§8.1 drain ledger for a solo committer: one single-object
-// update through TxManager::Run on Kamino-Simple, counted per persist site on
-// the main pool. The applier's work is included: its slot release and the
-// backup-epoch stamp, whose own drain an applier pays when a batch leaves its
-// queue empty, as a solo commit always does (DESIGN.md §12.2).
+// The DESIGN.md §8/§8.1 drain ledger for a solo committer: one update through
+// TxManager::Run, counted per persist site on the main pool. The update opens
+// `objects` objects, through one OpenWriteBatch when there is more than one.
+// On the Kamino engines the applier's work is included: its slot release and
+// the backup-epoch stamp, whose own drain an applier pays when a batch leaves
+// its queue empty, as a solo commit always does (DESIGN.md §12.2).
 
-std::map<std::string, uint64_t> SoloUpdateDrainsBySite(const LogOptions& log) {
-  auto sys = test::CrashableSystem::Create(EngineType::kKaminoSimple, 64ull << 20,
-                                           /*alpha=*/0.25, /*applier_threads=*/1, log);
-  uint64_t off = 0;
+std::map<std::string, uint64_t> SoloUpdateDrainsBySite(EngineType engine, const LogOptions& log,
+                                                       size_t objects = 1) {
+  auto sys = test::CrashableSystem::Create(engine, 64ull << 20, /*alpha=*/0.25,
+                                           /*applier_threads=*/1, log);
+  std::vector<WriteSpan> spans(objects);
   EXPECT_TRUE(sys.mgr
                   ->Run([&](Tx& tx) -> Status {
-                    Result<uint64_t> o = tx.Alloc(64);
-                    if (!o.ok()) {
-                      return o.status();
+                    for (WriteSpan& span : spans) {
+                      Result<uint64_t> o = tx.Alloc(64);
+                      if (!o.ok()) {
+                        return o.status();
+                      }
+                      span = WriteSpan{*o, 64};
                     }
-                    off = *o;
                     return Status::Ok();
                   })
                   .ok());
@@ -200,11 +204,19 @@ std::map<std::string, uint64_t> SoloUpdateDrainsBySite(const LogOptions& log) {
   }
   EXPECT_TRUE(sys.mgr
                   ->Run([&](Tx& tx) -> Status {
-                    Result<void*> p = tx.OpenWrite(off, 64);
-                    if (!p.ok()) {
-                      return p.status();
+                    std::vector<void*> out(objects);
+                    if (objects == 1) {
+                      Result<void*> p = tx.OpenWrite(spans[0].offset, 64);
+                      if (!p.ok()) {
+                        return p.status();
+                      }
+                      out[0] = *p;
+                    } else {
+                      KAMINO_RETURN_IF_ERROR(tx.OpenWriteBatch(spans.data(), objects, out.data()));
                     }
-                    std::memset(*p, 0x5A, 64);
+                    for (void* p : out) {
+                      std::memset(p, 0x5A, 64);
+                    }
                     return Status::Ok();
                   })
                   .ok());
@@ -220,16 +232,49 @@ std::map<std::string, uint64_t> SoloUpdateDrainsBySite(const LogOptions& log) {
 }
 
 TEST(CommitPathTest, SoloCommitDrainLedger) {
-  const std::map<std::string, uint64_t> drains = SoloUpdateDrainsBySite(LogOptions{});
-  // No "log/acquire-slot" entry: slot acquisition only flushes.
-  const std::map<std::string, uint64_t> expected = {
-      {"log/append-intent", 1},
-      {"engine/flush-write-set", 1},
-      {"log/commit-record", 1},
-      {"log/release-slot", 1},
-      {"backup/cut", 1},
+  struct Case {
+    EngineType engine;
+    std::map<std::string, uint64_t> expected;
   };
-  EXPECT_EQ(drains, expected);
+  // No "log/acquire-slot" entry: slot acquisition only flushes.
+  const Case cases[] = {
+      {EngineType::kKaminoSimple,
+       {{"log/append-intent", 1},
+        {"engine/flush-write-set", 1},
+        {"log/commit-record", 1},
+        {"log/release-slot", 1},
+        {"backup/cut", 1}}},
+      {EngineType::kUndoLog,
+       {{"log/append-intent", 1},
+        {"engine/flush-write-set", 1},
+        {"log/commit-record", 1},
+        {"log/release-slot", 1}}},
+      // The two untagged drains are the allocator's: the shadow's
+      // CommitAlloc at open and its FreeRaw after the install.
+      {EngineType::kCow,
+       {{"log/append-intent", 1},
+        {"cow/persist-shadows", 1},
+        {"log/commit-record", 1},
+        {"cow/install", 1},
+        {"log/release-slot", 1},
+        {"untagged", 2}}},
+      {EngineType::kRedoLog,
+       {{"log/append-intent", 1},
+        {"redo/stage-commit", 1},
+        {"log/commit-record", 1},
+        {"redo/install", 1},
+        {"log/release-slot", 1}}},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(SoloUpdateDrainsBySite(c.engine, LogOptions{}), c.expected)
+        << EngineTypeName(c.engine);
+  }
+  // A batch of two spans flushes two intent records behind one drain.
+  for (EngineType engine : {EngineType::kKaminoSimple, EngineType::kKaminoDynamic,
+                            EngineType::kUndoLog, EngineType::kCow, EngineType::kRedoLog}) {
+    EXPECT_EQ(SoloUpdateDrainsBySite(engine, LogOptions{}, 2)["log/append-intent"], 1u)
+        << EngineTypeName(engine);
+  }
 }
 
 // A synchronous commit under epochs pays two epoch drains of its own: the
@@ -239,7 +284,8 @@ TEST(CommitPathTest, SoloCommitDrainLedger) {
 TEST(CommitPathTest, SoloEpochCommitDrainLedger) {
   LogOptions log;
   log.epoch_commit = true;
-  const std::map<std::string, uint64_t> drains = SoloUpdateDrainsBySite(log);
+  const std::map<std::string, uint64_t> drains =
+      SoloUpdateDrainsBySite(EngineType::kKaminoSimple, log);
   const std::map<std::string, uint64_t> expected = {
       {"log/epoch-drain", 2},
       {"log/release-slot", 1},

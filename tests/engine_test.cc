@@ -1,10 +1,11 @@
-// Cross-engine semantics tests: all five atomicity engines behind the same
-// API must agree on commit/abort/alloc/free behaviour (the no-logging engine
+// Cross-engine semantics tests: all six engine types behind the same API
+// must agree on commit/abort/alloc/free behaviour (the no-logging engine
 // is exempt from rollback guarantees).
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "src/txn/kamino_engine.h"
@@ -368,29 +369,160 @@ TEST_P(EngineTest, LargeObjectTransactions) {
   EXPECT_FALSE(sys_.heap->allocator()->IsAllocated(off));
 }
 
-INSTANTIATE_TEST_SUITE_P(AllEngines, EngineTest,
-                         ::testing::Values(EngineType::kKaminoSimple,
-                                           EngineType::kKaminoDynamic, EngineType::kUndoLog,
-                                           EngineType::kCow, EngineType::kRedoLog,
-                                           EngineType::kNoLogging),
-                         [](const ::testing::TestParamInfo<EngineType>& info) {
-                           switch (info.param) {
-                             case EngineType::kKaminoSimple:
-                               return "KaminoSimple";
-                             case EngineType::kKaminoDynamic:
-                               return "KaminoDynamic";
-                             case EngineType::kUndoLog:
-                               return "UndoLog";
-                             case EngineType::kCow:
-                               return "Cow";
-                             case EngineType::kRedoLog:
-                               return "RedoLog";
-                             case EngineType::kNoLogging:
-                               return "NoLogging";
-                             default:
-                               return "Unknown";
-                           }
-                         });
+// One OpenWriteBatch over every kind of span the write-intent path sorts:
+// fresh, already opened, allocated in this transaction, size 0 (the whole
+// object) and the same offset twice. Each span's final first byte is its
+// tag; the repeated span also carries the second write made through its
+// second pointer.
+class OpenWriteBatchTest : public EngineTest {
+ protected:
+  static constexpr uint64_t kSize = 64;
+
+  void SetUp() override {
+    EngineTest::SetUp();
+    ASSERT_TRUE(sys_.mgr
+                    ->Run([&](Tx& tx) -> Status {
+                      for (uint64_t* off : {&a_, &b_, &c_}) {
+                        Result<uint64_t> o = tx.Alloc(kSize);
+                        if (!o.ok()) {
+                          return o.status();
+                        }
+                        *off = *o;
+                        std::memset(tx.OpenWrite(*off, kSize).value(), 0x11, kSize);
+                      }
+                      return Status::Ok();
+                    })
+                    .ok());
+    sys_.mgr->WaitIdle();
+  }
+
+  // Opens the mixed batch in `tx`, checks every pointer against
+  // Tx::OpenedPointer and writes each span's tag through it. Returns the
+  // offset allocated inside the transaction.
+  uint64_t OpenAndWriteMixedBatch(Tx& tx) {
+    const uint64_t d = tx.Alloc(kSize).value();
+    std::memset(tx.OpenWrite(b_, kSize).value(), 0xB0, kSize);
+    const WriteSpan spans[] = {{a_, kSize}, {b_, kSize}, {d, kSize}, {c_, 0}, {a_, kSize}};
+    void* out[5] = {};
+    Status st = tx.OpenWriteBatch(spans, 5, out);
+    EXPECT_TRUE(st.ok()) << st;
+    if (!st.ok()) {
+      return d;
+    }
+    for (size_t i = 0; i < 5; ++i) {
+      EXPECT_EQ(out[i], tx.OpenedPointer(spans[i].offset)) << "span " << i;
+    }
+    const uint8_t tags[] = {0xA1, 0xB1, 0xD1, 0xC1};
+    for (size_t i = 0; i < 4; ++i) {
+      std::memset(out[i], tags[i], kSize);
+    }
+    static_cast<uint8_t*>(out[4])[kSize - 1] = 0xA2;
+    return d;
+  }
+
+  uint64_t a_ = 0;
+  uint64_t b_ = 0;
+  uint64_t c_ = 0;
+};
+
+TEST_P(OpenWriteBatchTest, CommitMakesEverySpanVisible) {
+  uint64_t d = 0;
+  ASSERT_TRUE(sys_.mgr
+                  ->Run([&](Tx& tx) -> Status {
+                    d = OpenAndWriteMixedBatch(tx);
+                    return Status::Ok();
+                  })
+                  .ok());
+  sys_.mgr->WaitIdle();
+  EXPECT_EQ(MainAt(a_)[0], 0xA1);
+  EXPECT_EQ(MainAt(a_)[kSize - 1], 0xA2);
+  EXPECT_EQ(MainAt(b_)[0], 0xB1);
+  EXPECT_EQ(MainAt(c_)[kSize - 1], 0xC1);
+  EXPECT_EQ(MainAt(d)[0], 0xD1);
+  EXPECT_TRUE(sys_.heap->allocator()->IsAllocated(d));
+}
+
+TEST_P(OpenWriteBatchTest, AbortRollsBackEverySpan) {
+  uint64_t d = 0;
+  Status st = sys_.mgr->Run([&](Tx& tx) -> Status {
+    d = OpenAndWriteMixedBatch(tx);
+    return Status::Internal("force abort");
+  });
+  EXPECT_FALSE(st.ok());
+  sys_.mgr->WaitIdle();
+  if (rolls_back()) {
+    for (uint64_t off : {a_, b_, c_}) {
+      EXPECT_EQ(MainAt(off)[0], 0x11);
+      EXPECT_EQ(MainAt(off)[kSize - 1], 0x11);
+    }
+  }
+  EXPECT_FALSE(sys_.heap->allocator()->IsAllocated(d));
+}
+
+// The last span fails (size 0 at an offset that starts no allocation) after
+// the first two were opened: Abort must leave no slot, write lock or backup
+// pin behind.
+TEST_P(OpenWriteBatchTest, FailedSpanLeavesNothingHeldAfterAbort) {
+  Result<Tx> tx = sys_.mgr->Begin();
+  ASSERT_TRUE(tx.ok());
+  const WriteSpan spans[] = {{a_, kSize}, {b_, kSize}, {c_ + 8, 0}};
+  void* out[3] = {};
+  EXPECT_EQ(tx->OpenWriteBatch(spans, 3, out).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(tx->Abort().ok());
+  sys_.mgr->WaitIdle();
+
+  EXPECT_TRUE(sys_.mgr->log()->ScanForRecovery().empty()) << "a log slot is still held";
+  for (uint64_t off : {a_, b_}) {
+    EXPECT_FALSE(sys_.mgr->locks()->IsWriteLocked(off));
+  }
+  if (GetParam() == EngineType::kKaminoDynamic) {
+    auto* store = static_cast<DynamicBackupStore*>(sys_.mgr->backup_store());
+    EXPECT_EQ(store->PinCount(a_), 0u);
+    EXPECT_EQ(store->PinCount(b_), 0u);
+  }
+  // A second transaction can lock and write every span.
+  ASSERT_TRUE(sys_.mgr
+                  ->Run([&](Tx& t) -> Status {
+                    const WriteSpan again[] = {{a_, kSize}, {b_, kSize}};
+                    void* p[2] = {};
+                    KAMINO_RETURN_IF_ERROR(t.OpenWriteBatch(again, 2, p));
+                    std::memset(p[0], 0x22, kSize);
+                    std::memset(p[1], 0x22, kSize);
+                    return Status::Ok();
+                  })
+                  .ok());
+  sys_.mgr->WaitIdle();
+  EXPECT_EQ(MainAt(a_)[0], 0x22);
+  EXPECT_EQ(MainAt(b_)[0], 0x22);
+}
+
+std::string EngineParamName(const ::testing::TestParamInfo<EngineType>& info) {
+  switch (info.param) {
+    case EngineType::kKaminoSimple:
+      return "KaminoSimple";
+    case EngineType::kKaminoDynamic:
+      return "KaminoDynamic";
+    case EngineType::kUndoLog:
+      return "UndoLog";
+    case EngineType::kCow:
+      return "Cow";
+    case EngineType::kRedoLog:
+      return "RedoLog";
+    case EngineType::kNoLogging:
+      return "NoLogging";
+    default:
+      return "Unknown";
+  }
+}
+
+const auto kAllEngines =
+    ::testing::Values(EngineType::kKaminoSimple, EngineType::kKaminoDynamic,
+                      EngineType::kUndoLog, EngineType::kCow, EngineType::kRedoLog,
+                      EngineType::kNoLogging);
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, OpenWriteBatchTest, kAllEngines, EngineParamName);
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, EngineTest, kAllEngines, EngineParamName);
 
 // --- Engine-specific behaviour ----------------------------------------------
 
