@@ -141,8 +141,10 @@ class ShardedStore {
   // skew) and each shard contributes its transaction-consistent cut state —
   // no main-heap locks, no writer contention. A cross-shard 2PC transaction
   // mid-apply may still straddle the vector (per-shard consistency, not
-  // global serializability; DESIGN.md §12). Engines without a readable
-  // backup fall back to the merged locked read.
+  // global serializability; DESIGN.md §12). A cut holds only applied
+  // transactions, so such a scan may lag acknowledged commits by the apply
+  // lag: it is not read-your-writes — call WaitIdle first for that. Engines
+  // without a readable backup fall back to the merged locked read.
   Result<std::vector<std::pair<uint64_t, std::string>>> Scan(uint64_t start, size_t limit);
   // The epoch-vector scan, explicitly; *epochs_out (optional) receives every
   // shard's cut epoch. NotSupported if any shard lacks a readable backup.

@@ -101,6 +101,9 @@ struct EngineStats {
   // Transaction Coordinator pipeline (Kamino engines only; zero elsewhere).
   uint64_t applier_queue_depth = 0;  // Committed but not yet applied, now.
   uint64_t apply_batches = 0;        // Batched backup applies issued.
+  // Transactions applied by a blocked lock acquirer rather than an applier
+  // thread (DESIGN.md §6). Also counted in applied/apply_batches/apply_lag_*.
+  uint64_t helped_apply_txns = 0;
   uint64_t coalesced_ranges = 0;     // Ranges merged away inside batches.
   uint64_t apply_lag_p50_ns = 0;     // Commit-enqueue -> fully-applied lag.
   uint64_t apply_lag_p99_ns = 0;

@@ -21,15 +21,15 @@ KaminoEngine::KaminoEngine(heap::Heap* heap, LogManager* log, LockManager* locks
   for (int i = 0; i < applier_threads; ++i) {
     appliers_.emplace_back([this, i] { ApplierLoop(static_cast<size_t>(i)); });
   }
-  // Persist-behind dependency rule (DESIGN.md §8): write locks are held until
-  // the durability-gated backup apply, so a blocked acquirer may be waiting
-  // on a commit parked in the open epoch. The lock table is the dependency
-  // tracker — have the waiter drive the epoch drain (a no-op once the epoch
-  // is durable) rather than idle until the lock timeout: with every client
-  // blocked, nobody else would ever seal the epoch.
-  if (log_ != nullptr && log_->epoch_commit() && locks_ != nullptr) {
-    LogManager* log = log_;
-    locks_->SetContentionHook([log] { log->DrainEpoch(); });
+  // Blocked acquirers help (DESIGN.md §6): write locks are held until the
+  // backup apply, so a blocked acquirer is a dependent transaction whose
+  // blocker is usually queued for an applier. The waiter applies queued work
+  // itself instead of sleeping through two thread hand-offs (commit ->
+  // applier, release -> waiter). Under epoch_commit the blocker may still be
+  // parked in the open epoch, so the hook seals it first (DESIGN.md §8.1):
+  // with every client blocked, nobody else would.
+  if (locks_ != nullptr) {
+    locks_->SetContentionHook([this] { HelpApply(); });
   }
   // Seed the backup-read cut from the durable stamp (zero on Create). The
   // appliers advance it from here; Recover() re-seeds it after replay.
@@ -291,16 +291,19 @@ void KaminoEngine::FinishApplied(TxContext* ctx) {
   }
 }
 
+void KaminoEngine::TakeBatch(ApplierShard& shard,
+                             std::vector<std::unique_ptr<TxContext>>* batch) {
+  while (!shard.queue.empty() && batch->size() < kMaxApplyBatch) {
+    batch->push_back(std::move(shard.queue.front()));
+    shard.queue.pop_front();
+  }
+}
+
 void KaminoEngine::ApplierLoop(size_t shard_index) {
-  // Bounds how many releases share one fence; also bounds how long write
-  // locks of the first transaction in a batch stay held past its apply.
-  constexpr size_t kMaxApplyBatch = 32;
   ApplierShard& shard = *shards_[shard_index];
   std::vector<std::unique_ptr<TxContext>> batch;
   std::vector<SlotHandle> slots;
   for (;;) {
-    batch.clear();
-    slots.clear();
     {
       std::unique_lock<std::mutex> lk(shard.mu);
       shard.cv.wait(lk, [&] {
@@ -315,59 +318,88 @@ void KaminoEngine::ApplierLoop(size_t shard_index) {
         }
         continue;
       }
-      while (!shard.queue.empty() && batch.size() < kMaxApplyBatch) {
-        batch.push_back(std::move(shard.queue.front()));
-        shard.queue.pop_front();
-      }
+      TakeBatch(shard, &batch);
     }
-    // Apply batches run strictly between snapshot views (the BackupStore cut
-    // gate), so any state a backup reader observes lies on a transaction
-    // boundary — the epoch-cut invariant (DESIGN.md §12).
-    store_->EnterApplyCut();
-    for (auto& ctx : batch) {
-      ApplyCommitted(ctx.get());
-      slots.push_back(ctx->slot);
-      ctx->slot = SlotHandle{};
-    }
-    store_->ExitApplyCut();
-    // Every backup apply in the batch is durable; one shared fence frees all
-    // the slots (see LogManager::ReleaseSlots for the ordering argument).
-    // The same fence stamps the cut counted so far: cut_released_ only ever
-    // counts batches whose slots are already durably released.
-    log_->ReleaseSlots(slots.data(), slots.size(),
-                       cut_released_.load(std::memory_order_acquire));
-    // Count this batch only after its slots are durably released: a crash
-    // from here on may undercount the stamp (a safe floor — recovery re-rolls
-    // exactly the unreleased slots, never anything the stamp counts) but can
-    // never overcount it. Under load the count rides the next batch's release
-    // fence; an applier that finds its queue empty pays the stamp's own
-    // drain, so an idle engine always publishes its full count. The stamp is
-    // a monotone ratchet, so racing applier shards publish in any order
-    // without regressing the frontier, and readers only see durable epochs.
-    const uint64_t epoch =
-        cut_released_.fetch_add(batch.size(), std::memory_order_acq_rel) + batch.size();
-    bool idle;
-    {
-      std::lock_guard<std::mutex> lk(shard.mu);
-      idle = shard.queue.empty();
-    }
-    if (idle) {
-      log_->SetBackupEpoch(epoch);
-    }
-    store_->PublishCutEpoch(log_->backup_epoch());
-    for (auto& ctx : batch) {
-      FinishApplied(ctx.get());
-    }
-    // The decrement happens under idle_mu_ so a WaitIdle caller that observes
-    // in_flight_ == 0 also inherits a happens-before edge from the applier's
-    // ReleaseSlots/FinishApplied writes above (e.g. a state-transfer snapshot
-    // reading the pool right after WaitIdle returns).
-    {
-      std::lock_guard<std::mutex> lk(idle_mu_);
-      in_flight_.fetch_sub(batch.size(), std::memory_order_relaxed);
-    }
-    idle_cv_.notify_all();
+    ApplyBatch(shard, &batch, &slots);
   }
+}
+
+void KaminoEngine::HelpApply() {
+  if (log_->epoch_commit()) {
+    log_->DrainEpoch();  // A no-op once the open epoch is durable.
+  }
+  std::vector<std::unique_ptr<TxContext>> batch;
+  std::vector<SlotHandle> slots;
+  for (auto& shard : shards_) {
+    {
+      std::lock_guard<std::mutex> lk(shard->mu);
+      // Checked under shard.mu, the same lock the appliers check under, so a
+      // PauseApplier that has returned freezes helpers too.
+      if (paused_.load(std::memory_order_relaxed) || stop_.load(std::memory_order_relaxed)) {
+        return;
+      }
+      TakeBatch(*shard, &batch);
+    }
+    if (!batch.empty()) {
+      helped_apply_txns_.fetch_add(batch.size(), std::memory_order_relaxed);
+      ApplyBatch(*shard, &batch, &slots);
+    }
+  }
+}
+
+void KaminoEngine::ApplyBatch(ApplierShard& shard,
+                              std::vector<std::unique_ptr<TxContext>>* batch,
+                              std::vector<SlotHandle>* slots) {
+  // Apply batches run strictly between snapshot views (the BackupStore cut
+  // gate), so any state a backup reader observes lies on a transaction
+  // boundary — the epoch-cut invariant (DESIGN.md §12). A helping lock waiter
+  // never holds a view here: no lock is ever acquired inside one.
+  store_->EnterApplyCut();
+  for (auto& ctx : *batch) {
+    ApplyCommitted(ctx.get());
+    slots->push_back(ctx->slot);
+    ctx->slot = SlotHandle{};
+  }
+  store_->ExitApplyCut();
+  // Every backup apply in the batch is durable; one shared fence frees all
+  // the slots (see LogManager::ReleaseSlots for the ordering argument).
+  // The same fence stamps the cut counted so far: cut_released_ only ever
+  // counts batches whose slots are already durably released.
+  log_->ReleaseSlots(slots->data(), slots->size(),
+                     cut_released_.load(std::memory_order_acquire));
+  // Count this batch only after its slots are durably released: a crash
+  // from here on may undercount the stamp (a safe floor — recovery re-rolls
+  // exactly the unreleased slots, never anything the stamp counts) but can
+  // never overcount it. Under load the count rides the next batch's release
+  // fence; a batch that leaves its queue empty pays the stamp's own drain,
+  // so an idle engine always publishes its full count. The stamp is a
+  // monotone ratchet, so racing appliers and helpers publish in any order
+  // without regressing the frontier, and readers only see durable epochs.
+  const size_t n = batch->size();
+  const uint64_t epoch = cut_released_.fetch_add(n, std::memory_order_acq_rel) + n;
+  bool idle;
+  {
+    std::lock_guard<std::mutex> lk(shard.mu);
+    idle = shard.queue.empty();
+  }
+  if (idle) {
+    log_->SetBackupEpoch(epoch);
+  }
+  store_->PublishCutEpoch(log_->backup_epoch());
+  for (auto& ctx : *batch) {
+    FinishApplied(ctx.get());
+  }
+  // The decrement happens under idle_mu_ so a WaitIdle caller that observes
+  // in_flight_ == 0 also inherits a happens-before edge from the batch's
+  // ReleaseSlots/FinishApplied writes above (e.g. a state-transfer snapshot
+  // reading the pool right after WaitIdle returns).
+  {
+    std::lock_guard<std::mutex> lk(idle_mu_);
+    in_flight_.fetch_sub(n, std::memory_order_relaxed);
+  }
+  idle_cv_.notify_all();
+  batch->clear();
+  slots->clear();
 }
 
 void KaminoEngine::WaitIdle() {
@@ -404,7 +436,7 @@ void KaminoEngine::DiscardPendingForCrashTest() {
     shard->queue.clear();
   }
   // A WaitIdle caller may be blocked on exactly the work just discarded; the
-  // decrement goes under idle_mu_ for the same reason as in ApplierLoop.
+  // decrement goes under idle_mu_ for the same reason as in ApplyBatch.
   {
     std::lock_guard<std::mutex> lk(idle_mu_);
     in_flight_.fetch_sub(discarded, std::memory_order_relaxed);
@@ -417,6 +449,7 @@ EngineStats KaminoEngine::stats() const {
   s.applier_queue_depth = in_flight_.load(std::memory_order_relaxed);
   s.apply_batches = apply_batches_.load(std::memory_order_relaxed);
   s.coalesced_ranges = coalesced_ranges_.load(std::memory_order_relaxed);
+  s.helped_apply_txns = helped_apply_txns_.load(std::memory_order_relaxed);
   if (apply_lag_.count() > 0) {
     s.apply_lag_p50_ns = apply_lag_.PercentileNs(50.0);
     s.apply_lag_p99_ns = apply_lag_.PercentileNs(99.0);

@@ -16,6 +16,13 @@
 // commute — order across shards is irrelevant. See DESIGN.md, "Transaction
 // Coordinator pipeline".
 //
+// Blocked acquirers help: the engine installs a LockManager contention hook,
+// so a dependent transaction about to sleep on a lock first pops a batch off
+// the applier queues and applies it itself (after sealing the open epoch
+// under LogOptions::epoch_commit). The applier threads and the helpers run
+// one batch body, ApplyBatch; a helper is just one more applier on that
+// shard. Helpers stand down while the appliers are paused or stopping.
+//
 // Aborts copy the untouched backup values over the main version in the
 // aborting thread (aborts are rare; Figure 6). Recovery treats incomplete
 // transactions as aborted: committed-but-unapplied transactions are rolled
@@ -86,9 +93,9 @@ class KaminoEngine : public EngineBase {
   BackupStore* store() { return store_; }
 
   // --- Crash-test hooks -------------------------------------------------
-  // Pausing stops appliers from dequeuing new work, freezing committed
-  // transactions in the "committed but not applied" window so tests can
-  // crash there deterministically.
+  // Pausing stops appliers — and helping lock waiters — from dequeuing new
+  // work, freezing committed transactions in the "committed but not applied"
+  // window so tests can crash there deterministically.
   void PauseApplier(bool paused);
   // Drops all queued (unapplied) contexts, modelling the process dying
   // before the Transaction Coordinator ran. Locks they held are NOT
@@ -116,7 +123,25 @@ class KaminoEngine : public EngineBase {
     std::deque<std::unique_ptr<TxContext>> queue;
   };
 
+  // Bounds how many releases share one fence; also bounds how long write
+  // locks of the first transaction in a batch stay held past its apply, and
+  // how much work one helping lock waiter takes on per shard.
+  static constexpr size_t kMaxApplyBatch = 32;
+
   void ApplierLoop(size_t shard_index);
+  // Moves up to kMaxApplyBatch contexts from the front of `shard.queue` into
+  // `batch`. Caller holds shard.mu.
+  static void TakeBatch(ApplierShard& shard, std::vector<std::unique_ptr<TxContext>>* batch);
+  // The one apply-batch body, run by applier threads and helping lock
+  // waiters alike: backup applies inside the cut gate, one shared slot-release
+  // fence, cut-stamp accounting, then lock release and in-flight accounting
+  // per transaction. `slots` is a reusable buffer; both vectors are left empty.
+  void ApplyBatch(ApplierShard& shard, std::vector<std::unique_ptr<TxContext>>* batch,
+                  std::vector<SlotHandle>* slots);
+  // The lock-contention hook: seals the open epoch (epoch_commit only), then
+  // applies at most one batch from each applier shard on the calling, blocked
+  // thread. A no-op while the appliers are paused or stopping.
+  void HelpApply();
   // Shared Commit/CommitAsync body; `ack == nullptr` means durable-on-return.
   Status CommitImpl(std::unique_ptr<TxContext> ctx, CommitAck* ack);
   // Round-robins a committed context across the applier shards. In epoch
@@ -125,10 +150,10 @@ class KaminoEngine : public EngineBase {
   // already counted the context in in_flight_.
   void EnqueueCommitted(std::unique_ptr<TxContext> ctx);
   // Rolls a committed transaction forward into the backup (one batched
-  // apply, at most one drain). The applier loop then releases the whole
-  // batch's slots behind one fence and calls FinishApplied per transaction
+  // apply, at most one drain). ApplyBatch then releases the whole batch's
+  // slots behind one fence and calls FinishApplied per transaction
   // (deferred-free reservations, write locks, stats). Both run on an applier
-  // thread.
+  // thread or on a helping lock waiter.
   void ApplyCommitted(TxContext* ctx);
   void FinishApplied(TxContext* ctx);
 
@@ -182,6 +207,7 @@ class KaminoEngine : public EngineBase {
   // Coordinator observability.
   std::atomic<uint64_t> apply_batches_{0};
   std::atomic<uint64_t> coalesced_ranges_{0};
+  std::atomic<uint64_t> helped_apply_txns_{0};  // Applied by a blocked acquirer.
   stats::LatencyHistogram apply_lag_;  // Commit-enqueue -> fully applied.
 
   std::vector<std::thread> appliers_;

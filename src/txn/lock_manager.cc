@@ -25,9 +25,10 @@ bool LockManager::BlockedWait(Shard& shard, std::unique_lock<std::mutex>& lk,
     return shard.cv.wait_until(lk, deadline, ready);
   }
   // Sliced wait: the hook runs outside shard.mu (it may take the log's
-  // sequencer mutex and applier locks), and runs repeatedly because the
-  // blocker may commit into a *new* epoch after an earlier slice drained
-  // the previous one.
+  // sequencer mutex and applier locks, and release other lock-table keys),
+  // first before any sleep, then once per slice, because the blocker may
+  // commit — into a *new* epoch, onto an applier queue — after an earlier
+  // call found nothing to do.
   constexpr auto kSlice = std::chrono::milliseconds(5);
   for (;;) {
     lk.unlock();

@@ -39,7 +39,10 @@ struct LockStats {
   uint64_t read_acquires = 0;
   uint64_t blocked_acquires = 0;  // Acquisitions that had to wait (dependent).
   uint64_t timeouts = 0;
-  uint64_t total_block_ns = 0;    // Time spent waiting across all acquires.
+  // Time from blocking to acquiring (or timing out), across all acquires.
+  // Includes time the contention hook spent working on the blocked thread
+  // (under KaminoEngine: applying queued commits), so it is not all idle.
+  uint64_t total_block_ns = 0;
 };
 
 class LockManager {
@@ -66,14 +69,17 @@ class LockManager {
   bool IsWriteLocked(uint64_t key) const;
 
   // Installs a hook invoked — with no internal mutex held — whenever an
-  // acquisition is about to block, and again periodically while it waits.
-  // The lock table doubles as the dependency tracker: under the epoch
-  // pipeline (LogOptions::epoch_commit) a blocked acquirer is a dependent
-  // transaction whose blocker may be parked on the open epoch, so the hook
-  // drives LogManager::DrainEpoch — the waiter pays for the drain that
-  // releases its dependency instead of deadlocking against other blocked
-  // clients until the lock timeout. Install before concurrent use (the
-  // engine constructor); pass nullptr to clear.
+  // acquisition is about to block, before its first sleep, and again
+  // periodically while it waits; the acquisition re-checks the lock after
+  // every call. The lock table doubles as the dependency tracker: a blocked
+  // acquirer is a dependent transaction whose blocker holds its write locks
+  // until the backup apply, so KaminoEngine's hook does the work that
+  // releases the dependency on the waiter's thread. It seals the open epoch
+  // (LogOptions::epoch_commit: the blocker may be parked there, and with
+  // every client blocked nobody else would) and applies queued commits
+  // instead of sleeping until an applier thread is scheduled (DESIGN.md §6).
+  // Hook time counts in LockStats::total_block_ns. Install before concurrent
+  // use (the engine constructor); pass nullptr to clear.
   void SetContentionHook(std::function<void()> hook);
 
   LockStats stats() const;

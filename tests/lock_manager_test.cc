@@ -123,6 +123,53 @@ TEST(LockManagerTest, StatsCountBlockedAcquires) {
   lm.ReleaseWrite(100, 1);
 }
 
+// The contract the engine's helping hook relies on: the hook runs on the
+// blocked thread itself, and the acquisition re-checks the lock after it.
+// A hook that releases the holder's write lock therefore unblocks a read and
+// a write acquirer with no other thread involved, far below the timeout.
+TEST(LockManagerTest, ContentionHookReleasingHolderUnblocksAcquirer) {
+  LockManager lm;  // Default (long) timeout.
+  int calls = 0;
+  lm.SetContentionHook([&] {
+    ++calls;
+    lm.ReleaseWrite(100, 1);
+  });
+  for (const bool write : {false, true}) {
+    SCOPED_TRACE(write ? "AcquireWrite" : "AcquireRead");
+    ASSERT_TRUE(lm.AcquireWrite(100, 1).ok());
+    calls = 0;
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_TRUE((write ? lm.AcquireWrite(100, 2) : lm.AcquireRead(100, 2)).ok());
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(lm.IsWriteLocked(100), write);
+    if (write) {
+      lm.ReleaseWrite(100, 2);
+    } else {
+      lm.ReleaseRead(100, 2);
+    }
+  }
+  EXPECT_EQ(lm.stats().blocked_acquires, 2u);
+  EXPECT_EQ(lm.stats().timeouts, 0u);
+  lm.SetContentionHook(nullptr);
+}
+
+// A hook that cannot release the dependency changes nothing: the acquisition
+// still times out with kTxConflict after calling it at least once.
+TEST(LockManagerTest, ContentionHookThatDoesNothingStillTimesOut) {
+  LockManager lm(ShortTimeout());
+  ASSERT_TRUE(lm.AcquireWrite(100, 1).ok());
+  std::atomic<int> calls{0};
+  lm.SetContentionHook([&] { calls.fetch_add(1); });
+  EXPECT_EQ(lm.AcquireRead(100, 2).code(), StatusCode::kTxConflict);
+  EXPECT_EQ(lm.AcquireWrite(100, 3).code(), StatusCode::kTxConflict);
+  EXPECT_GE(calls.load(), 2);
+  EXPECT_EQ(lm.stats().timeouts, 2u);
+  lm.SetContentionHook(nullptr);
+  EXPECT_TRUE(lm.IsWriteLocked(100));
+  lm.ReleaseWrite(100, 1);
+}
+
 TEST(LockManagerTest, ManyThreadsSameKeySerialize) {
   LockManager lm;
   int counter = 0;

@@ -116,6 +116,9 @@ TEST(ShardedStoreTest, ScanMergesGloballySorted) {
   for (uint64_t k = 0; k < 100; ++k) {
     ASSERT_TRUE(sys.store->Insert(k * 3, "s" + std::to_string(k * 3)).ok());
   }
+  // Scan reads each shard's backup cut, which may lag acknowledged inserts
+  // by the apply lag; settle the appliers before asserting presence.
+  sys.store->WaitIdle();
   Result<std::vector<std::pair<uint64_t, std::string>>> scan = sys.store->Scan(30, 20);
   ASSERT_TRUE(scan.ok());
   ASSERT_EQ(scan->size(), 20u);
@@ -127,6 +130,29 @@ TEST(ShardedStoreTest, ScanMergesGloballySorted) {
   Result<std::vector<std::pair<uint64_t, std::string>>> tail = sys.store->Scan(3 * 95, 50);
   ASSERT_TRUE(tail.ok());
   EXPECT_EQ(tail->size(), 5u);
+}
+
+// Scan's documented contract: it reads per-shard backup cuts, so it may lag
+// acknowledged commits by the apply lag. An insert frozen behind paused
+// appliers is acknowledged yet absent; once applied it is present.
+TEST(ShardedStoreTest, ScanLagsAcknowledgedInsertsByTheApplyLag) {
+  ShardedSystem sys = ShardedSystem::Create(2);
+  ASSERT_TRUE(sys.store->Insert(10, "a").ok());
+  sys.store->WaitIdle();
+  sys.store->PauseAppliers(true);
+  ASSERT_TRUE(sys.store->Insert(11, "b").ok());  // Acknowledged, not applied.
+  Result<std::vector<std::pair<uint64_t, std::string>>> lagging = sys.store->Scan(0, 10);
+  ASSERT_TRUE(lagging.ok()) << lagging.status().message();
+  ASSERT_EQ(lagging->size(), 1u);
+  EXPECT_EQ((*lagging)[0].first, 10u);
+
+  sys.store->PauseAppliers(false);
+  sys.store->WaitIdle();
+  Result<std::vector<std::pair<uint64_t, std::string>>> settled = sys.store->Scan(0, 10);
+  ASSERT_TRUE(settled.ok()) << settled.status().message();
+  ASSERT_EQ(settled->size(), 2u);
+  EXPECT_EQ((*settled)[1].first, 11u);
+  EXPECT_EQ((*settled)[1].second, "b");
 }
 
 TEST(ShardedStoreTest, RestartKeepsRoutingAndData) {
@@ -289,6 +315,9 @@ TEST(ShardedStoreTest, ScanNeverObservesTornSameShardPair) {
       ASSERT_TRUE(sys.store->Insert(b, "g0").ok());
     }
   }
+  // Every pair must be in the cut before the first scan (Scan may lag
+  // acknowledged inserts by the apply lag); the writer only updates them.
+  sys.store->WaitIdle();
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     uint64_t gen = 1;

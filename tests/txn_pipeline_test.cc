@@ -130,6 +130,7 @@ void RunContendedIncrements(EngineType engine, int applier_threads) {
   EXPECT_EQ(stats.applier_queue_depth, 0u);
   EXPECT_GT(stats.apply_batches, 0u);
   EXPECT_EQ(stats.applied, stats.committed);
+  EXPECT_LE(stats.helped_apply_txns, stats.applied);
 }
 
 TEST(TxnPipelineTest, SimpleContendedIncrementsOneApplier) {
@@ -220,6 +221,46 @@ TEST(TxnPipelineTest, DiscardPendingUnblocksWaitIdle) {
   ASSERT_EQ(waited.wait_for(std::chrono::seconds(5)), std::future_status::ready);
   // The discarded contexts' locks are intentionally leaked (the real caller
   // crashes the system next); the stack is torn down without reusing them.
+}
+
+// Blocked acquirers apply queued commits themselves, but never while the
+// appliers are paused: PauseApplier must keep freezing the committed-
+// unapplied window. A dependent read times out instead of helping, and
+// resumes normally once the appliers are released.
+TEST(TxnPipelineTest, PausedApplierFreezesHelpingReaders) {
+  Stack s = Stack::Make(EngineType::kKaminoSimple, 1,
+                        [](TxManagerOptions& o) { o.lock.timeout_ms = 100; });
+  std::vector<uint64_t> offs = AllocObjects(s.mgr.get(), 1);
+  const uint64_t off = offs[0];
+
+  auto* engine = static_cast<KaminoEngine*>(s.mgr->engine());
+  engine->PauseApplier(true);
+  Status st = s.mgr->Run([&](Tx& tx) -> Status {
+    Result<void*> p = tx.OpenWrite(off, kObjectSize);
+    if (!p.ok()) {
+      return p.status();
+    }
+    static_cast<uint64_t*>(*p)[0] = 42;
+    return Status::Ok();
+  });
+  ASSERT_TRUE(st.ok());
+  ASSERT_EQ(engine->stats().applier_queue_depth, 1u);
+
+  uint64_t seen = 0;
+  auto read = [&](Tx& tx) -> Status {
+    KAMINO_RETURN_IF_ERROR(tx.ReadLock(off));
+    seen = static_cast<const uint64_t*>(s.heap->pool()->At(off))[0];
+    return Status::Ok();
+  };
+  EXPECT_EQ(s.mgr->Run(read).code(), StatusCode::kTxConflict);
+  EXPECT_EQ(engine->stats().applier_queue_depth, 1u);
+  EXPECT_EQ(engine->stats().helped_apply_txns, 0u);
+
+  engine->PauseApplier(false);
+  ASSERT_TRUE(s.mgr->Run(read).ok());
+  EXPECT_EQ(seen, 42u);
+  s.mgr->WaitIdle();
+  EXPECT_EQ(engine->stats().applier_queue_depth, 0u);
 }
 
 // A failed intent-log append after EnsureBackupCopy(pin=true) must drop the
